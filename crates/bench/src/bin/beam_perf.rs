@@ -53,6 +53,7 @@ fn beam_cfg() -> BeamConfig {
 }
 
 fn main() {
+    #[allow(clippy::disallowed_methods)] // smoke switch read once at start-up
     let smoke = std::env::var_os("CSNAKE_PERF_SMOKE").is_some();
     let base_samples = if smoke { 3 } else { SAMPLES };
     let mut cases = vec![

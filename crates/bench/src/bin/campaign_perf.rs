@@ -54,6 +54,7 @@ fn median(mut xs: Vec<u128>) -> u128 {
 }
 
 fn main() {
+    #[allow(clippy::disallowed_methods)] // smoke switch read once at start-up
     let smoke = std::env::var_os("CSNAKE_PERF_SMOKE").is_some();
     let spec = if smoke {
         CampaignSpec::smoke()

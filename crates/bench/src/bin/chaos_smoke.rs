@@ -199,7 +199,9 @@ fn smoke_target(name: &str, target: &dyn TargetSystem) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    if std::env::var_os("CSNAKE_CHAOS_SMOKE").is_none() {
+    #[allow(clippy::disallowed_methods)] // smoke switch read once at start-up
+    let enabled = std::env::var_os("CSNAKE_CHAOS_SMOKE").is_some();
+    if !enabled {
         eprintln!("chaos_smoke: set CSNAKE_CHAOS_SMOKE=1 to run the chaos smoke campaigns");
         return ExitCode::SUCCESS;
     }

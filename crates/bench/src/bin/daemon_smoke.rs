@@ -125,7 +125,9 @@ fn smoke_target(name: &str) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    if std::env::var_os("CSNAKE_DAEMON_SMOKE").is_none() {
+    #[allow(clippy::disallowed_methods)] // smoke switch read once at start-up
+    let enabled = std::env::var_os("CSNAKE_DAEMON_SMOKE").is_some();
+    if !enabled {
         eprintln!("daemon_smoke: set CSNAKE_DAEMON_SMOKE=1 to run the distributed smoke campaigns");
         return ExitCode::SUCCESS;
     }

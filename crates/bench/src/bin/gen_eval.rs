@@ -89,6 +89,7 @@ fn eval_config() -> DetectConfig {
 }
 
 fn main() -> ExitCode {
+    #[allow(clippy::disallowed_methods)] // smoke switch read once at start-up
     let smoke = std::env::var_os("CSNAKE_GEN_SMOKE").is_some();
     let mut count: u64 = if smoke { 8 } else { 60 };
     let mut seed_start: u64 = 0;

@@ -209,7 +209,9 @@ fn smoke_target(name: &str) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    if std::env::var_os("CSNAKE_TELEMETRY_SMOKE").is_none() {
+    #[allow(clippy::disallowed_methods)] // smoke switch read once at start-up
+    let enabled = std::env::var_os("CSNAKE_TELEMETRY_SMOKE").is_some();
+    if !enabled {
         eprintln!("telemetry_smoke: set CSNAKE_TELEMETRY_SMOKE=1 to run the flight-recorder smoke");
         return ExitCode::SUCCESS;
     }

@@ -172,6 +172,7 @@ fn campaign_digest() -> MetricsDigest {
 }
 
 fn main() {
+    #[allow(clippy::disallowed_methods)] // smoke switch read once at start-up
     let smoke = std::env::var_os("CSNAKE_WORKLOAD_SMOKE").is_some();
     let (scales, samples): (Vec<u64>, usize) = if smoke {
         (vec![50_000], 1)

@@ -32,6 +32,7 @@ struct Watchdog {
 
 static WATCHDOG: OnceLock<Option<&'static Watchdog>> = OnceLock::new();
 
+#[allow(clippy::disallowed_methods)] // the documented watchdog deadline
 fn instance() -> Option<&'static Watchdog> {
     *WATCHDOG.get_or_init(|| {
         let secs: u64 = std::env::var("CSNAKE_STAGE_DEADLINE_S")

@@ -130,6 +130,7 @@ impl ChaosConfig {
     /// Returns `None` when the variable is unset or empty; unknown keys and
     /// unparsable values are ignored (chaos must never turn a typo into a
     /// campaign-fatal error).
+    #[allow(clippy::disallowed_methods)] // the documented chaos switch
     pub fn from_env() -> Option<ChaosConfig> {
         let raw = std::env::var("CSNAKE_CHAOS").ok()?;
         if raw.trim().is_empty() {

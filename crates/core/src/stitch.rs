@@ -809,14 +809,11 @@ impl StitchIndex {
             let mut children: Vec<Candidate> = Vec::new();
             let mut level_cycles: Vec<CycleRef> = Vec::new();
             let mut select = SelectBuffers::default();
-            // Ops hook: CSNAKE_STITCH_PROF=1 prints per-level timings.
-            let prof = std::env::var_os("CSNAKE_STITCH_PROF").is_some();
             loop {
                 let nf = shared.frontier.read().expect("frontier lock").len();
                 if nf == 0 {
                     break;
                 }
-                let t0 = prof.then(std::time::Instant::now);
                 children.clear();
                 level_cycles.clear();
                 let parallel = workers > 1 && nf >= PARALLEL_THRESHOLD;
@@ -834,19 +831,9 @@ impl StitchIndex {
                     let frontier = shared.frontier.read().expect("frontier lock");
                     expand_into(&shared, &frontier, &mut children, &mut level_cycles);
                 }
-                let t1 = prof.then(std::time::Instant::now);
                 cycles.extend_from_slice(&level_cycles);
-                let nc = children.len();
                 let next = select_top_b(&shared, &children, cfg.beam_size, &mut select);
                 *shared.frontier.write().expect("frontier lock") = next;
-                if let (Some(t0), Some(t1)) = (t0, t1) {
-                    eprintln!(
-                        "stitch level: frontier={nf} children={nc} cycles={} expand={:?} select={:?}",
-                        level_cycles.len(),
-                        t1 - t0,
-                        t1.elapsed()
-                    );
-                }
             }
             // Dropping the pool closes the job channel; workers exit before
             // the scope joins them.

@@ -6,6 +6,27 @@
 //! [`FrameGuard`] for call-stack tracking and [`LoopGuard`] for loop
 //! iteration tracking — can own a handle and unwind correctly when an
 //! injected exception propagates out through `?`.
+//!
+//! # Recording layout
+//!
+//! Hooks run millions of times per campaign, so the frequent ones write
+//! into dense per-run slots sized from the [`Registry`] when the agent is
+//! built, never into ordered maps:
+//!
+//! * coverage is a `Vec<bool>`, iteration counts a `Vec<u64>` and loop
+//!   compatibility states a `Vec<Option<LoopState>>`, each indexed by
+//!   [`FaultId`];
+//! * dynamic call edges are a bitset of `fn_count²` bits, bit
+//!   `caller · fn_count + callee`;
+//! * the branch traces of all live frames share one flat buffer, each
+//!   frame remembering where its own trace starts; the current-iteration
+//!   traces of all live loops share another.
+//!
+//! Hooks therefore panic on ids from another registry. Error occurrences,
+//! the injected fault and flags are rare and go straight into the trace.
+//! [`Agent::finish`] converts the slots once into the [`RunTrace`], whose
+//! type and contents are the same as when every hook wrote into its maps
+//! directly.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -16,12 +37,12 @@ use csnake_sim::VirtualTime;
 
 use crate::fault::{Fault, InjectAction, InjectionPlan};
 use crate::registry::{BranchId, FaultId, FaultKind, FnId, Registry};
-use crate::trace::{CallStack2, Occurrence, RunTrace};
+use crate::trace::{CallStack2, LoopState, Occurrence, RunTrace};
 
 struct LoopActivation {
     id: FaultId,
-    /// Branch events of the current iteration.
-    iter_buf: Vec<(BranchId, bool)>,
+    /// Start of the current iteration's trace in `iter_branches`.
+    start: usize,
     /// Whether `iter()` has been called at least once in this activation.
     started: bool,
     /// Call-stack depth at entry; used to decide whether a fault site is
@@ -34,9 +55,20 @@ struct Inner {
     /// One-shot throw/negate still pending.
     armed: bool,
     tracing: bool,
-    stack: Vec<FnId>,
-    frame_traces: Vec<Vec<(BranchId, bool)>>,
+    /// Live frames, each with the start of its trace in `branches`.
+    stack: Vec<(FnId, usize)>,
+    branches: Vec<(BranchId, bool)>,
     loop_stack: Vec<LoopActivation>,
+    iter_branches: Vec<(BranchId, bool)>,
+    /// Reached fault points, by [`FaultId`].
+    coverage: Vec<bool>,
+    /// Iteration counts, by loop [`FaultId`].
+    loop_counts: Vec<u64>,
+    /// Compatibility states, by loop [`FaultId`].
+    loop_states: Vec<Option<LoopState>>,
+    /// Call-edge bitset, bit `caller · fn_count + callee`.
+    call_edges: Vec<u64>,
+    /// Occurrences, the injected fault, flags and the hook count.
     trace: RunTrace,
 }
 
@@ -68,17 +100,24 @@ pub struct Agent {
 impl Agent {
     /// Creates an agent, optionally with an injection plan.
     pub fn new(registry: Arc<Registry>, plan: Option<InjectionPlan>) -> Self {
+        let points = registry.points().len();
+        let fn_count = registry.fn_count();
         Agent {
-            registry,
             inner: RefCell::new(Inner {
                 plan,
                 armed: plan.is_some(),
                 tracing: true,
                 stack: Vec::with_capacity(16),
-                frame_traces: Vec::with_capacity(16),
+                branches: Vec::with_capacity(64),
                 loop_stack: Vec::with_capacity(8),
+                iter_branches: Vec::with_capacity(64),
+                coverage: vec![false; points],
+                loop_counts: vec![0; points],
+                loop_states: vec![None; points],
+                call_edges: vec![0; (fn_count * fn_count).div_ceil(64)],
                 trace: RunTrace::default(),
             }),
+            registry,
         }
     }
 
@@ -95,11 +134,8 @@ impl Agent {
 
     /// Closest two call-stack levels above the current (top) frame.
     fn stack2(inner: &Inner) -> CallStack2 {
-        let s = &inner.stack;
-        let n = s.len();
-        let a = if n >= 2 { Some(s[n - 2]) } else { None };
-        let b = if n >= 3 { Some(s[n - 3]) } else { None };
-        [a, b]
+        let mut callers = inner.stack.iter().rev().skip(1).map(|&(f, _)| f);
+        [callers.next(), callers.next()]
     }
 
     /// Local-compatibility state at a fault site: the branch trace of the
@@ -108,9 +144,10 @@ impl Agent {
     /// call stack (§6.2).
     fn occurrence_state(inner: &Inner) -> Occurrence {
         let stack = Self::stack2(inner);
-        let local = match inner.loop_stack.last() {
-            Some(l) if l.depth == inner.stack.len() => l.iter_buf.clone(),
-            _ => inner.frame_traces.last().cloned().unwrap_or_default(),
+        let local = match (inner.loop_stack.last(), inner.stack.last()) {
+            (Some(l), _) if l.depth == inner.stack.len() => inner.iter_branches[l.start..].to_vec(),
+            (_, Some(&(_, at))) => inner.branches[at..].to_vec(),
+            _ => Vec::new(),
         };
         Occurrence::new(stack, local)
     }
@@ -118,17 +155,24 @@ impl Agent {
     /// Pushes a call frame; returns a guard that pops it on drop.
     ///
     /// Also records a dynamic call-graph edge (§B.1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` does not belong to the registry.
     pub fn frame(self: &Rc<Self>, f: FnId) -> FrameGuard {
         {
             let mut inner = self.inner.borrow_mut();
+            let n = self.registry.fn_count();
+            assert!((f.0 as usize) < n, "frame called with a foreign FnId");
             inner.trace.hook_count += 1;
             if inner.tracing {
-                if let Some(&caller) = inner.stack.last() {
-                    inner.trace.call_edges.insert((caller, f));
+                if let Some(&(caller, _)) = inner.stack.last() {
+                    let bit = caller.0 as usize * n + f.0 as usize;
+                    inner.call_edges[bit / 64] |= 1 << (bit % 64);
                 }
             }
-            inner.stack.push(f);
-            inner.frame_traces.push(Vec::new());
+            let start = inner.branches.len();
+            inner.stack.push((f, start));
         }
         FrameGuard {
             agent: Rc::clone(self),
@@ -141,11 +185,11 @@ impl Agent {
         let mut inner = self.inner.borrow_mut();
         inner.trace.hook_count += 1;
         if inner.tracing {
-            if let Some(buf) = inner.frame_traces.last_mut() {
-                buf.push((b, outcome));
+            if !inner.stack.is_empty() {
+                inner.branches.push((b, outcome));
             }
-            if let Some(l) = inner.loop_stack.last_mut() {
-                l.iter_buf.push((b, outcome));
+            if !inner.loop_stack.is_empty() {
+                inner.iter_branches.push((b, outcome));
             }
         }
         outcome
@@ -172,7 +216,7 @@ impl Agent {
     pub fn throw_guard(&self, p: FaultId) -> Option<Fault> {
         let mut inner = self.inner.borrow_mut();
         inner.trace.hook_count += 1;
-        inner.trace.coverage.insert(p);
+        inner.coverage[p.0 as usize] = true;
         let fire = matches!(
             inner.plan,
             Some(InjectionPlan {
@@ -205,7 +249,7 @@ impl Agent {
     pub fn throw_fired(&self, p: FaultId) -> Fault {
         let mut inner = self.inner.borrow_mut();
         inner.trace.hook_count += 1;
-        inner.trace.coverage.insert(p);
+        inner.coverage[p.0 as usize] = true;
         Self::record_occurrence(&mut inner, p);
         let class = self
             .registry
@@ -240,7 +284,7 @@ impl Agent {
             .expect("negation_point called on non-negation fault point");
         let mut inner = self.inner.borrow_mut();
         inner.trace.hook_count += 1;
-        inner.trace.coverage.insert(p);
+        inner.coverage[p.0 as usize] = true;
         let fire = matches!(
             inner.plan,
             Some(InjectionPlan {
@@ -274,21 +318,19 @@ impl Agent {
         {
             let mut inner = self.inner.borrow_mut();
             inner.trace.hook_count += 1;
-            inner.trace.coverage.insert(p);
+            inner.coverage[p.0 as usize] = true;
             let stack = Self::stack2(&inner);
             let depth = inner.stack.len();
             if inner.tracing {
-                inner
-                    .trace
-                    .loop_states
-                    .entry(p)
-                    .or_default()
+                inner.loop_states[p.0 as usize]
+                    .get_or_insert_default()
                     .entry_stacks
                     .insert(stack);
             }
+            let start = inner.iter_branches.len();
             inner.loop_stack.push(LoopActivation {
                 id: p,
-                iter_buf: Vec::new(),
+                start,
                 started: false,
                 depth,
             });
@@ -300,25 +342,24 @@ impl Agent {
     }
 
     fn finalize_iteration(inner: &mut Inner) {
-        let Some(l) = inner.loop_stack.last_mut() else {
+        let Some(&LoopActivation {
+            id,
+            start,
+            started: true,
+            ..
+        }) = inner.loop_stack.last()
+        else {
             return;
         };
-        if !l.started {
-            return;
-        }
         let sig = crate::trace::fnv1a(
-            l.iter_buf
+            inner.iter_branches[start..]
                 .iter()
                 .map(|(b, o)| ((b.0 as u64) << 1) | (*o as u64)),
         );
-        let id = l.id;
-        l.iter_buf.clear();
+        inner.iter_branches.truncate(start);
         if inner.tracing {
-            inner
-                .trace
-                .loop_states
-                .entry(id)
-                .or_default()
+            inner.loop_states[id.0 as usize]
+                .get_or_insert_default()
                 .iter_sigs
                 .insert(sig);
         }
@@ -336,7 +377,7 @@ impl Agent {
         if let Some(l) = inner.loop_stack.last_mut() {
             l.started = true;
         }
-        *inner.trace.loop_counts.entry(id).or_insert(0) += 1;
+        inner.loop_counts[id.0 as usize] += 1;
         if let Some(InjectionPlan {
             target,
             action: InjectAction::Delay(d),
@@ -357,21 +398,25 @@ impl Agent {
         Self::finalize_iteration(&mut inner);
         let popped = inner.loop_stack.pop();
         debug_assert_eq!(
-            popped.map(|l| l.id),
+            popped.as_ref().map(|l| l.id),
             Some(id),
             "LoopGuard dropped out of LIFO order"
         );
+        inner.iter_branches.truncate(popped.map_or(0, |l| l.start));
     }
 
     fn frame_exit(&self) {
         let mut inner = self.inner.borrow_mut();
-        inner.stack.pop();
-        inner.frame_traces.pop();
+        let start = inner.stack.pop().map_or(0, |(_, at)| at);
+        inner.branches.truncate(start);
     }
 
     /// Raises a system-level failure flag (oracle for the black-box fuzzer).
     pub fn mark_flag(&self, flag: &str) {
-        self.inner.borrow_mut().trace.flags.insert(flag.to_string());
+        let flags = &mut self.inner.borrow_mut().trace.flags;
+        if !flags.contains(flag) {
+            flags.insert(flag.to_string());
+        }
     }
 
     /// `true` if the plan's one-shot action already fired (or a delay plan
@@ -380,14 +425,39 @@ impl Agent {
         self.inner.borrow().trace.injected.is_some()
     }
 
-    /// Finalizes the run and extracts the trace.
+    /// Finalizes the run and extracts the trace, converting the dense
+    /// slots into the trace's ordered maps and clearing them.
     pub fn finish(&self, end_time: VirtualTime, events: u64) -> RunTrace {
-        let mut inner = self.inner.borrow_mut();
+        let mut guard = self.inner.borrow_mut();
+        let inner = &mut *guard;
         let mut t = std::mem::take(&mut inner.trace);
+        t.coverage = take_slots(&mut inner.coverage)
+            .filter_map(|(p, hit)| hit.then_some(p))
+            .collect();
+        t.loop_counts = take_slots(&mut inner.loop_counts)
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        t.loop_states = take_slots(&mut inner.loop_states)
+            .filter_map(|(p, st)| Some((p, st?)))
+            .collect();
+        let (n, edges) = (self.registry.fn_count(), &inner.call_edges);
+        t.call_edges = (0..n * n)
+            .filter(|&bit| edges[bit / 64] >> (bit % 64) & 1 == 1)
+            .map(|bit| (FnId((bit / n) as u32), FnId((bit % n) as u32)))
+            .collect();
+        inner.call_edges.fill(0);
         t.end_time = end_time;
         t.events = events;
         t
     }
+}
+
+/// Takes every slot's value out (leaving the default), with its id.
+fn take_slots<T: Default>(slots: &mut [T]) -> impl Iterator<Item = (FaultId, T)> + '_ {
+    slots
+        .iter_mut()
+        .enumerate()
+        .map(|(i, s)| (FaultId(i as u32), std::mem::take(s)))
 }
 
 /// RAII call-frame guard; pops the agent's shadow stack on drop.
@@ -605,6 +675,41 @@ mod tests {
         let t = fx.agent.finish(VirtualTime::ZERO, 0);
         assert!(t.call_edges.contains(&(fx.f_outer, fx.f_inner)));
         assert_eq!(t.call_edges.len(), 1);
+    }
+
+    #[test]
+    fn loop_entered_but_never_iterated_has_state_but_no_count() {
+        let fx = fixture(None);
+        let _o = fx.agent.frame(fx.f_outer);
+        drop(fx.agent.loop_enter(fx.lp));
+        let t = fx.agent.finish(VirtualTime::ZERO, 0);
+        assert!(t.coverage.contains(&fx.lp));
+        assert!(!t.loop_counts.contains_key(&fx.lp));
+        let st = &t.loop_states[&fx.lp];
+        assert!(st.entry_stacks.contains(&[None, None]));
+        assert!(st.iter_sigs.is_empty());
+    }
+
+    #[test]
+    fn call_edges_at_the_highest_fn_id_land_correctly() {
+        // 9 functions: the 81-bit set spans two words and the edge between
+        // the highest ids is its very last bit.
+        let mut b = RegistryBuilder::new("wide");
+        let fs: Vec<FnId> = ["A", "B", "C", "D", "E", "F", "G", "H", "I"]
+            .into_iter()
+            .map(|n| b.func(n))
+            .collect();
+        let (first, last) = (fs[0], fs[8]);
+        let agent = Rc::new(Agent::new(Arc::new(b.build()), None));
+        {
+            let _a = agent.frame(last);
+            let _b = agent.frame(last);
+            let _c = agent.frame(first);
+            let _d = agent.frame(last);
+        }
+        let t = agent.finish(VirtualTime::ZERO, 0);
+        let edges: Vec<_> = t.call_edges.into_iter().collect();
+        assert_eq!(edges, vec![(first, last), (last, first), (last, last)]);
     }
 
     #[test]

@@ -93,6 +93,7 @@ fn load_items(path: &Path, stack: &mut Vec<PathBuf>) -> Result<Vec<Item>, Scenar
 
 /// The bundled scenario corpus directory: `$CSNAKE_SCENARIO_DIR` when
 /// set, otherwise the workspace's `scenarios/` directory.
+#[allow(clippy::disallowed_methods)] // documented override of the corpus location
 pub fn corpus_dir() -> PathBuf {
     if let Ok(dir) = std::env::var("CSNAKE_SCENARIO_DIR") {
         return PathBuf::from(dir);
