@@ -10,8 +10,13 @@
 //! * build the dynamic call graph from profile traces and run the static
 //!   analyzer's filters (§4.1, §B.1);
 //! * for each `(fault, test)` experiment, run the injection runs (sweeping
-//!   delay lengths for loop faults) and hand the traces to FCA.
+//!   delay lengths for loop faults) and hand the traces to FCA. A rep whose
+//!   paired profile run never reached the plan's firing hook is not
+//!   simulated: the injection run would replay that profile run exactly,
+//!   so its trace is the cached profile trace (see
+//!   [`InjectionPlan::can_fire`]).
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -98,14 +103,14 @@ pub struct DriverConfig {
     /// trace for the driver's lifetime, a real memory cost on large
     /// campaigns. Results are identical either way (run seeds are pure
     /// functions of `(test, rep)`); only `runs_executed` stops growing
-    /// on hits. Hit/miss counters surface through
-    /// [`CampaignObserver::trace_cache`].
+    /// on hits, since it counts simulated runs only. A miss builds its
+    /// run set like an uncached experiment, replaying the reps whose plan
+    /// cannot fire from the profile traces. Hit/miss counters surface
+    /// through [`CampaignObserver::trace_cache`].
     pub cache_injections: bool,
     /// Supervisor retry schedule for panicked or stalled experiment jobs.
     pub retry: RetryConfig,
     /// Self-fault-injection harness configuration (disabled by default).
-    /// The `CSNAKE_CHAOS` environment variable, when set, overrides this
-    /// at driver construction — see [`ChaosConfig::from_env`].
     pub chaos: ChaosConfig,
 }
 
@@ -193,10 +198,12 @@ pub struct Driver<'a> {
     inj_cache: Mutex<HashMap<InjKey, Arc<InjRunSet>>>,
     cache_hits: AtomicUsize,
     cache_misses: AtomicUsize,
-    /// Total individual runs executed (profile + injection).
+    /// Simulator runs executed (profile + injection). Injection reps
+    /// replayed from their profile trace, and cache hits, run nothing and
+    /// are not counted.
     pub runs_executed: usize,
     /// Self-fault-injection harness; disabled unless configured via
-    /// [`DriverConfig::chaos`] or the `CSNAKE_CHAOS` environment variable.
+    /// [`DriverConfig::chaos`].
     chaos: ChaosInjector,
     /// Observer for supervisor events (`batch_retried` / `batch_failed`);
     /// `None` keeps them silent.
@@ -215,8 +222,9 @@ impl<'a> Driver<'a> {
         let tests = target.tests();
         let mut profiles: BTreeMap<TestId, Vec<RunTrace>> = BTreeMap::new();
         let mut runs = 0usize;
+        let reps: Vec<usize> = (0..cfg.reps).collect();
         for tc in &tests {
-            let traces = run_batch(target, tc.id, None, &cfg, cfg.reps, cfg.parallel);
+            let traces = run_batch(target, tc.id, None, &cfg, &reps, cfg.parallel);
             runs += traces.len();
             profiles.insert(tc.id, traces);
         }
@@ -225,6 +233,12 @@ impl<'a> Driver<'a> {
 
     /// Rebuilds a driver from previously recorded profile traces without
     /// touching the simulator — the resume path of session snapshots.
+    ///
+    /// Precondition: `profiles` were recorded from this `target` at
+    /// `cfg.base_seed` (rep `r` of test `t` at `seed_for(cfg.base_seed, t,
+    /// r)`), as [`Driver::new`] records them. Injection reps whose plan
+    /// cannot fire reuse these traces as their own, so profiles from
+    /// another target or seed would make results wrong, not just slow.
     ///
     /// All derived state (coverage, the dynamic call graph, the static
     /// filters, the per-test profile indexes) is recomputed here; since the
@@ -263,8 +277,7 @@ impl<'a> Driver<'a> {
             .map(|(tid, traces)| (*tid, ProfileIndex::build(&registry, traces)))
             .collect();
 
-        let chaos =
-            ChaosInjector::new(ChaosConfig::from_env().unwrap_or_else(|| cfg.chaos.clone()));
+        let chaos = ChaosInjector::new(cfg.chaos.clone());
         // Profiling (or a resumed snapshot's earlier life) may have left
         // workload latency summaries buffered in the target; the observer
         // stream covers experiments only, so clear them here.
@@ -346,10 +359,41 @@ impl<'a> Driver<'a> {
         }
     }
 
+    /// The `reps` injection runs of `(test, plan)` and how many of them
+    /// the simulator ran.
+    ///
+    /// A rep whose profile run shows the plan can never fire
+    /// ([`InjectionPlan::can_fire`]) is that profile run: same test, same
+    /// seed, and a plan that changes nothing until it fires. Its trace is
+    /// the cached profile trace, borrowed. The other reps, and reps beyond
+    /// the recorded profiles, are simulated.
+    fn injection_runs(
+        &self,
+        t: TestId,
+        plan: InjectionPlan,
+        parallel_reps: bool,
+    ) -> (Vec<Cow<'_, RunTrace>>, usize) {
+        let profiles = self.profile(t);
+        let replay = |rep: usize| profiles.get(rep).filter(|p| !plan.can_fire(p));
+        let todo: Vec<usize> = (0..self.cfg.reps)
+            .filter(|&rep| replay(rep).is_none())
+            .collect();
+        let mut fresh =
+            run_batch(self.target, t, Some(plan), &self.cfg, &todo, parallel_reps).into_iter();
+        let traces = (0..self.cfg.reps)
+            .map(|rep| match replay(rep) {
+                Some(profile) => Cow::Borrowed(profile),
+                None => Cow::Owned(fresh.next().expect("one simulated run per rep to simulate")),
+            })
+            .collect();
+        (traces, todo.len())
+    }
+
     /// Runs one `(fault, test)` experiment — injection runs (sweeping delay
     /// lengths for loop faults) plus indexed FCA against the cached profile
     /// index — without touching driver state. Returns the outcome and the
-    /// number of simulator runs executed.
+    /// number of simulator runs executed (replayed reps and cache hits run
+    /// none).
     ///
     /// `parallel_reps` controls per-repetition threading; it is disabled
     /// when whole experiments already fan out on the worker pool, to avoid
@@ -391,15 +435,11 @@ impl<'a> Driver<'a> {
                     }
                     None => {
                         self.cache_misses.fetch_add(1, Ordering::Relaxed);
-                        let traces = run_batch(
-                            self.target,
-                            t,
-                            Some(plan),
-                            &self.cfg,
-                            self.cfg.reps,
-                            parallel_reps,
-                        );
-                        runs += traces.len();
+                        let (traces, simulated) = self.injection_runs(t, plan, parallel_reps);
+                        runs += simulated;
+                        // The cache outlives this borrow of the profiles.
+                        let traces: Vec<RunTrace> =
+                            traces.into_iter().map(Cow::into_owned).collect();
                         let index = TraceIndex::build(&self.registry, &traces);
                         let set = Arc::new(InjRunSet { traces, index });
                         self.inj_cache
@@ -420,15 +460,8 @@ impl<'a> Driver<'a> {
                     &self.cfg.fca,
                 )
             } else {
-                let traces = run_batch(
-                    self.target,
-                    t,
-                    Some(plan),
-                    &self.cfg,
-                    self.cfg.reps,
-                    parallel_reps,
-                );
-                runs += traces.len();
+                let (traces, simulated) = self.injection_runs(t, plan, parallel_reps);
+                runs += simulated;
                 analyze_experiment_indexed(
                     &self.registry,
                     profile,
@@ -460,23 +493,26 @@ impl<'a> Driver<'a> {
     }
 }
 
-/// Runs `reps` repetitions of a workload (optionally threaded).
+/// Runs the given repetitions of a workload (optionally threaded), in
+/// order.
 fn run_batch(
     target: &dyn TargetSystem,
     test: TestId,
     plan: Option<InjectionPlan>,
     cfg: &DriverConfig,
-    reps: usize,
+    reps: &[usize],
     parallel: bool,
 ) -> Vec<RunTrace> {
-    if !parallel || reps <= 1 {
-        return (0..reps)
-            .map(|rep| target.run(test, plan, seed_for(cfg.base_seed, test, rep)))
+    if !parallel || reps.len() <= 1 {
+        return reps
+            .iter()
+            .map(|&rep| target.run(test, plan, seed_for(cfg.base_seed, test, rep)))
             .collect();
     }
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..reps)
-            .map(|rep| {
+        let handles: Vec<_> = reps
+            .iter()
+            .map(|&rep| {
                 let seed = seed_for(cfg.base_seed, test, rep);
                 scope.spawn(move || target.run(test, plan, seed))
             })
@@ -595,7 +631,9 @@ impl ExperimentEngine for Driver<'_> {
         // Open-loop workload targets buffer a latency summary per run; the
         // pool interleaves them nondeterministically, so drain once per
         // batch and re-emit sorted by (test, seed) — a deterministic stream
-        // for telemetry. Ordinary targets return an empty vector.
+        // for telemetry. Ordinary targets return an empty vector. Only
+        // simulated runs buffer one: a rep replayed from its profile trace
+        // adds no summary.
         let mut summaries = self.target.drain_workload_summaries();
         if !summaries.is_empty() {
             summaries.sort_by_key(|s| (s.test, s.seed));
@@ -628,6 +666,102 @@ impl ExperimentEngine for Driver<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::target::TestCase;
+    use csnake_inject::{Agent, RegistryBuilder};
+    use csnake_sim::Clock;
+    use std::rc::Rc;
+
+    struct Tick(VirtualTime);
+
+    impl Clock for Tick {
+        fn now(&self) -> VirtualTime {
+            self.0
+        }
+        fn advance(&mut self, d: VirtualTime) {
+            self.0 += d;
+        }
+    }
+
+    /// One workload that enters `idle` without iterating it, then runs
+    /// one iteration of `busy`: a single iteration is enough to fire.
+    struct TwoLoops {
+        registry: Arc<Registry>,
+        func: csnake_inject::FnId,
+        idle: FaultId,
+        busy: FaultId,
+    }
+
+    impl TwoLoops {
+        fn new() -> Self {
+            let mut b = RegistryBuilder::new("two-loops");
+            let func = b.func("Server.run");
+            let idle = b.workload_loop(func, 1, false, "idle");
+            let busy = b.workload_loop(func, 2, false, "busy");
+            TwoLoops {
+                registry: Arc::new(b.build()),
+                func,
+                idle,
+                busy,
+            }
+        }
+    }
+
+    impl TargetSystem for TwoLoops {
+        fn name(&self) -> &'static str {
+            "two-loops"
+        }
+        fn registry(&self) -> Arc<Registry> {
+            Arc::clone(&self.registry)
+        }
+        fn tests(&self) -> Vec<TestCase> {
+            vec![TestCase {
+                id: TestId(0),
+                name: "serve",
+                description: "enters an idle loop, iterates a busy one",
+            }]
+        }
+        fn run(&self, _test: TestId, plan: Option<InjectionPlan>, seed: u64) -> RunTrace {
+            let agent = Rc::new(Agent::new(Arc::clone(&self.registry), plan));
+            let mut clock = Tick(VirtualTime::from_millis(seed % 7));
+            {
+                let _frame = agent.frame(self.func);
+                drop(agent.loop_enter(self.idle));
+                agent.loop_enter(self.busy).iter(&mut clock);
+            }
+            agent.finish(clock.now(), 0)
+        }
+    }
+
+    #[test]
+    fn delay_on_a_loop_never_iterated_runs_nothing() {
+        for cache_injections in [false, true] {
+            let target = TwoLoops::new();
+            let cfg = DriverConfig {
+                parallel: false,
+                cache_injections,
+                ..DriverConfig::default()
+            };
+            let (reps, delays) = (cfg.reps, cfg.delay_values_ms.len());
+            let mut driver = Driver::new(&target, cfg);
+            let profiled = driver.runs_executed;
+            assert_eq!(profiled, reps);
+
+            driver.run_experiment(target.idle, TestId(0), 1);
+            assert_eq!(driver.runs_executed, profiled, "idle loop simulated");
+            driver.run_experiment(target.busy, TestId(0), 1);
+            assert_eq!(driver.runs_executed, profiled + reps * delays);
+
+            // The replayed run set is what the simulator would have recorded.
+            let plan = InjectionPlan::delay(target.idle, VirtualTime::from_millis(800));
+            let (traces, simulated) = driver.injection_runs(TestId(0), plan, false);
+            assert_eq!(simulated, 0);
+            for (rep, trace) in traces.iter().enumerate() {
+                let seed = seed_for(driver.cfg.base_seed, TestId(0), rep);
+                let fresh = target.run(TestId(0), Some(plan), seed);
+                assert_eq!(format!("{trace:?}"), format!("{fresh:?}"));
+            }
+        }
+    }
 
     #[test]
     fn seeds_are_distinct_across_tests_and_reps() {

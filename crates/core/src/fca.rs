@@ -26,6 +26,7 @@
 //! `tests/campaign_equivalence.rs` proves the two byte-identical across
 //! randomized experiments.
 
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 
 use csnake_inject::{
@@ -70,9 +71,9 @@ pub struct ExperimentOutcome {
 }
 
 /// Compatibility state of the injected fault itself across injection runs.
-fn cause_state(
+fn cause_state<T: Borrow<RunTrace>>(
     registry: &Registry,
-    injection: &[RunTrace],
+    injection: &[T],
     plan: InjectionPlan,
 ) -> Option<CompatState> {
     let point = registry.point(plan.target);
@@ -81,7 +82,7 @@ fn cause_state(
     } else {
         let mut seen = BTreeSet::new();
         let mut occs = Vec::new();
-        for t in injection {
+        for t in injection.iter().map(Borrow::borrow) {
             if let Some((f, occ)) = &t.injected {
                 if *f == plan.target && seen.insert(occ.sig) {
                     occs.push(occ.clone());
@@ -153,14 +154,15 @@ pub fn analyze_experiment(
 }
 
 /// The indexed FCA hot path: a prepared profile index (shared across the
-/// test's experiments) against one experiment's injection runs.
+/// test's experiments) against one experiment's injection runs, owned or
+/// borrowed.
 ///
 /// Byte-identical to [`analyze_experiment_reference`] — same interference
 /// set, same edges in the same order, same states.
-pub fn analyze_experiment_indexed(
+pub fn analyze_experiment_indexed<T: Borrow<RunTrace>>(
     registry: &Registry,
     profile: &ProfileIndex,
-    injection: &[RunTrace],
+    injection: &[T],
     plan: InjectionPlan,
     test: TestId,
     phase: u8,
@@ -177,11 +179,11 @@ pub fn analyze_experiment_indexed(
 /// combination is revisited — results are identical to
 /// [`analyze_experiment_indexed`] on the same traces.
 #[allow(clippy::too_many_arguments)]
-pub fn analyze_experiment_prepared(
+pub fn analyze_experiment_prepared<T: Borrow<RunTrace>>(
     registry: &Registry,
     profile: &ProfileIndex,
     inj: &TraceIndex,
-    injection: &[RunTrace],
+    injection: &[T],
     plan: InjectionPlan,
     test: TestId,
     phase: u8,
@@ -296,9 +298,9 @@ pub fn analyze_experiment_prepared(
 /// statistically-increased loop: a delayed inner loop propagates to its
 /// parent and, through the parent, to its next sibling. Shared by the
 /// indexed and reference paths so the equivalence contract has one copy.
-fn push_structural_loop_edges(
+fn push_structural_loop_edges<T: Borrow<RunTrace>>(
     registry: &Registry,
-    injection: &[RunTrace],
+    injection: &[T],
     s_plus_loops: &[FaultId],
     test: TestId,
     phase: u8,

@@ -84,8 +84,8 @@
 //! * **Self-chaos harness.** [`chaos`] turns the supervisor on itself:
 //!   a seeded, deterministic injector makes experiment jobs panic, stall
 //!   past a deadline, or fail checkpoint IO — configured per-campaign via
-//!   [`DriverConfig`]`::chaos` or globally via the `CSNAKE_CHAOS`
-//!   environment variable (`seed=7,exp_panic=0.2,attempts=1,...`).
+//!   [`DriverConfig`]`::chaos` only (`csnake-daemon --chaos
+//!   seed=7,exp_panic=0.2,attempts=1,...` sets it from the command line).
 //!   Decisions key on experiment identity, not call order, so a chaotic
 //!   run is reproducible and transient chaos provably leaves no trace in
 //!   the report. Snapshot v5 adds *wire* chaos sites (`wire_drop`,
@@ -165,6 +165,21 @@
 //!   `(fault, test)` picks *before* running them (picks never depend on
 //!   outcomes within a phase), so [`Driver`] fans every phase batch out on
 //!   the shared [`pool`] with deterministic, batch-ordered results.
+//! * **Injection runs that cannot fire** — simulated runs dominate a
+//!   campaign's time, and many injection reps replay their profile run:
+//!   the plan's firing hook never runs (a delay on a loop the test enters
+//!   but never iterates, a throw or negation at a point it never reaches).
+//!   A plan reaches a run only through its agent and changes nothing until
+//!   it fires, so such a rep equals the profile run at the same seed. The
+//!   driver reads this off the cached profile trace
+//!   ([`csnake_inject::InjectionPlan::can_fire`]: loop count zero, or the
+//!   point outside coverage) and uses that trace instead of simulating;
+//!   `O(reps)` checks per run set. FCA and `TraceIndex` take owned or
+//!   borrowed traces (`Borrow<RunTrace>`), so the reuse copies nothing
+//!   (the opt-in injection cache stores owned copies). Reports are unchanged;
+//!   `runs_executed` counts simulated runs only. `tests/injection_reuse.rs`
+//!   checks the rule against the simulator, both ways, on every case of
+//!   the paper targets, the scenario corpus and generated scenarios.
 //! * **Phase-one clustering** — [`cluster::hierarchical_cluster`]
 //!   collapses exact-duplicate vectors, generates candidate pairs from an
 //!   inverted index over nonzero dimensions (pairs sharing no dimension
@@ -287,7 +302,8 @@ pub struct Detection {
     pub alloc: AllocationResult,
     /// Cycles, clusters, verdicts and ground-truth matches.
     pub report: DetectionReport,
-    /// Total individual simulator runs executed.
+    /// Total individual simulator runs executed. Injection reps replayed
+    /// from their profile trace are not simulated and not counted.
     pub runs_executed: usize,
 }
 

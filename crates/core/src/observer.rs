@@ -194,6 +194,10 @@ pub trait CampaignObserver: Send + Sync {
     /// target. Emitted by the [`Driver`](crate::Driver) after each
     /// experiment batch, in deterministic `(test, seed)` order. Summaries
     /// are telemetry only — they never feed FCA or campaign results.
+    /// Only simulated runs produce one: an injection rep the driver
+    /// replays from its profile trace, because its plan can never fire,
+    /// adds none. On the bundled `workload:*` targets every planned run
+    /// can fire, so none is replayed.
     fn workload_summary(&self, summary: &WorkloadSummary) {
         let _ = summary;
     }

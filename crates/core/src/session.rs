@@ -57,7 +57,7 @@ use crate::alloc::{
     RecoveryContext,
 };
 use crate::beam::{beam_search, cluster_cycles, Cycle, CycleCluster};
-use crate::chaos::{ChaosConfig, ChaosInjector};
+use crate::chaos::ChaosInjector;
 use crate::driver::Driver;
 use crate::error::{CsnakeError, Result};
 use crate::observer::{CampaignObserver, NoopObserver};
@@ -138,7 +138,9 @@ pub struct CampaignOutcome {
     pub edges: usize,
     /// Fault clusters formed by the strategy.
     pub fault_clusters: usize,
-    /// Total simulator runs executed so far (profile + injection).
+    /// Total simulator runs executed so far (profile + injection). An
+    /// injection rep replayed from its profile trace, because its plan can
+    /// never fire, runs nothing and is not counted; neither is a cache hit.
     pub runs_executed: usize,
 }
 
@@ -463,7 +465,9 @@ impl<'a> Session<'a> {
         self.report.as_ref()
     }
 
-    /// Total simulator runs executed so far.
+    /// Total simulator runs executed so far. Injection reps replayed from
+    /// their profile trace and cache hits are not simulated and not
+    /// counted (see [`Driver::runs_executed`](crate::Driver::runs_executed)).
     pub fn runs_executed(&self) -> usize {
         self.driver.as_ref().map(|d| d.runs_executed).unwrap_or(0)
     }
@@ -526,9 +530,7 @@ impl<'a> Session<'a> {
                 ),
                 path: path.clone(),
                 observer: self.observer.clone(),
-                chaos: ChaosInjector::new(
-                    ChaosConfig::from_env().unwrap_or_else(|| self.cfg.driver.chaos.clone()),
-                ),
+                chaos: ChaosInjector::new(self.cfg.driver.chaos.clone()),
                 ordinal: AtomicU64::new(0),
             }
         });
@@ -595,9 +597,7 @@ impl<'a> Session<'a> {
                 ),
                 path: path.clone(),
                 observer: self.observer.clone(),
-                chaos: ChaosInjector::new(
-                    ChaosConfig::from_env().unwrap_or_else(|| self.cfg.driver.chaos.clone()),
-                ),
+                chaos: ChaosInjector::new(self.cfg.driver.chaos.clone()),
                 ordinal: AtomicU64::new(0),
             }
         });

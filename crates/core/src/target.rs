@@ -50,6 +50,13 @@ pub trait TargetSystem: Send + Sync {
 
     /// Executes one workload, optionally with a fault injected, and returns
     /// the recorded trace.
+    ///
+    /// The plan may reach the run only through the run's
+    /// [`Agent`](csnake_inject::Agent) (`Agent::new(registry, plan)`): no
+    /// other code may read it. A run whose plan never fires must therefore
+    /// equal the unplanned run at the same seed, trace for trace. The
+    /// [`Driver`](crate::Driver) relies on this to replay such runs from
+    /// the profile traces instead of simulating them.
     fn run(&self, test: TestId, plan: Option<InjectionPlan>, seed: u64) -> RunTrace;
 
     /// Ground-truth seeded bugs (evaluation only).

@@ -6,6 +6,7 @@ use csnake_sim::VirtualTime;
 use serde::{Deserialize, Serialize};
 
 use crate::registry::FaultId;
+use crate::trace::RunTrace;
 
 /// An in-flight fault (exception) value propagated through a target system.
 ///
@@ -87,6 +88,28 @@ impl InjectionPlan {
             action: InjectAction::Delay(d),
         }
     }
+
+    /// `false` when `profile`, the unplanned run of the same test at the
+    /// same seed, shows that this plan's firing hook never ran.
+    ///
+    /// A plan changes a run only by firing, so until it fires the planned
+    /// run replays the profile run step for step. If the profile run never
+    /// reached the firing hook, neither does the planned run, and the two
+    /// traces are equal (`injected == None` in both). The test per action:
+    ///
+    /// * `Delay(L)` fires only in `LoopGuard::iter`, which counts the
+    ///   iteration: it can fire iff `profile.loop_count(L) > 0`.
+    /// * `Throw` and `Negate` fire only in `throw_guard` and
+    ///   `negation_point`, which always mark coverage: they can fire iff
+    ///   the target is in `profile.coverage`. Coverage marked only by
+    ///   `throw_fired` or `loop_enter` keeps the answer `true`, which is
+    ///   merely conservative.
+    pub fn can_fire(&self, profile: &RunTrace) -> bool {
+        match self.action {
+            InjectAction::Delay(_) => profile.loop_count(self.target) > 0,
+            InjectAction::Throw | InjectAction::Negate => profile.coverage.contains(&self.target),
+        }
+    }
 }
 
 /// The seven delay lengths the paper sweeps per delay injection
@@ -123,6 +146,24 @@ mod tests {
         let d = InjectionPlan::delay(FaultId(1), VirtualTime::from_millis(100));
         assert!(d.action.is_delay());
         assert!(!InjectAction::Throw.is_delay());
+    }
+
+    #[test]
+    fn can_fire_reads_the_firing_hook_off_the_profile_run() {
+        let (l, p) = (FaultId(1), FaultId(2));
+        let mut profile = RunTrace::default();
+        let delay = InjectionPlan::delay(l, VirtualTime::from_millis(100));
+        // A loop entered but never iterated is covered with no count.
+        profile.coverage.insert(l);
+        assert!(!delay.can_fire(&profile));
+        profile.loop_counts.insert(l, 1);
+        assert!(delay.can_fire(&profile));
+
+        assert!(!InjectionPlan::throw(p).can_fire(&profile));
+        assert!(!InjectionPlan::negate(p).can_fire(&profile));
+        profile.coverage.insert(p);
+        assert!(InjectionPlan::throw(p).can_fire(&profile));
+        assert!(InjectionPlan::negate(p).can_fire(&profile));
     }
 
     #[test]

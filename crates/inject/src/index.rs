@@ -30,6 +30,8 @@
 //! Build cost is one walk over each trace's sparse maps:
 //! `O(runs × entries)` plus the dense presence vectors.
 
+use std::borrow::Borrow;
+
 use crate::registry::{FaultKind, Registry};
 use crate::trace::{Occurrence, RunTrace};
 use crate::FaultId;
@@ -63,14 +65,16 @@ impl TraceIndex {
     /// Builds the index for one set of runs against one registry.
     ///
     /// Fault ids outside the registry's range are ignored, matching the
-    /// analysis' behaviour of only ever querying registry points.
-    pub fn build(registry: &Registry, traces: &[RunTrace]) -> TraceIndex {
+    /// analysis' behaviour of only ever querying registry points. The runs
+    /// may be owned or borrowed (`Borrow<RunTrace>`), so a run set that
+    /// reuses recorded traces need not copy them.
+    pub fn build<T: Borrow<RunTrace>>(registry: &Registry, traces: &[T]) -> TraceIndex {
         let n_points = registry.points().len();
         let n_runs = traces.len();
 
         // Occurrence presence counts.
         let mut occ_runs = vec![0u32; n_points];
-        for t in traces {
+        for t in traces.iter().map(Borrow::borrow) {
             for (f, occs) in &t.occurrences {
                 if !occs.is_empty() {
                     if let Some(slot) = occ_runs.get_mut(f.0 as usize) {
@@ -95,7 +99,7 @@ impl TraceIndex {
             loop_slot[l.0 as usize] = slot as u32;
         }
         let mut loop_counts = vec![0.0f64; loop_points.len() * n_runs];
-        for (r, t) in traces.iter().enumerate() {
+        for (r, t) in traces.iter().map(Borrow::borrow).enumerate() {
             for (l, &c) in &t.loop_counts {
                 match loop_slot.get(l.0 as usize) {
                     Some(&s) if s != NO_SLOT => {
@@ -113,8 +117,10 @@ impl TraceIndex {
             })
             .collect();
 
-        let injected: Vec<(FaultId, Occurrence)> =
-            traces.iter().filter_map(|t| t.injected.clone()).collect();
+        let injected: Vec<(FaultId, Occurrence)> = traces
+            .iter()
+            .filter_map(|t| t.borrow().injected.clone())
+            .collect();
 
         TraceIndex {
             n_runs,
@@ -233,7 +239,7 @@ mod tests {
         let merged = merged_occurrences(&[t1, t2], tp);
         assert_eq!(merged.len(), 2);
         assert!(merged.windows(2).all(|w| w[0].sig < w[1].sig));
-        assert!(merged_occurrences(&[], tp).is_empty());
+        assert!(merged_occurrences(&[] as &[RunTrace], tp).is_empty());
     }
 
     #[test]
@@ -278,7 +284,7 @@ mod tests {
     #[test]
     fn empty_trace_set() {
         let (reg, tp, ..) = registry();
-        let idx = TraceIndex::build(&reg, &[]);
+        let idx = TraceIndex::build(&reg, &[] as &[RunTrace]);
         assert_eq!(idx.n_runs(), 0);
         assert!(!idx.occurred(tp));
         assert!(idx.occurring_points().is_empty());

@@ -1,5 +1,6 @@
 //! Execution traces recorded by the runtime agent.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 
 use csnake_sim::VirtualTime;
@@ -114,9 +115,9 @@ impl LoopState {
 /// merged union only for the few points that emit edges, and profiling
 /// showed eager merging of every occurring point dominates the index
 /// build.
-pub fn merged_occurrences(traces: &[RunTrace], p: FaultId) -> Vec<Occurrence> {
+pub fn merged_occurrences<T: Borrow<RunTrace>>(traces: &[T], p: FaultId) -> Vec<Occurrence> {
     let mut out: Vec<Occurrence> = Vec::new();
-    for t in traces {
+    for t in traces.iter().map(Borrow::borrow) {
         if let Some(occs) = t.occurrences.get(&p) {
             for o in occs {
                 // Occurrence lists are tiny; a linear scan over the kept
@@ -140,9 +141,9 @@ pub fn merged_occurrences(traces: &[RunTrace], p: FaultId) -> Vec<Occurrence> {
 /// every reached loop eagerly at index build costs more than the few
 /// merges per experiment the analysis actually performs (only loops that
 /// emit edges need their state).
-pub fn merged_loop_state(traces: &[RunTrace], l: FaultId) -> Option<LoopState> {
+pub fn merged_loop_state<T: Borrow<RunTrace>>(traces: &[T], l: FaultId) -> Option<LoopState> {
     let mut merged: Option<LoopState> = None;
-    for t in traces {
+    for t in traces.iter().map(Borrow::borrow) {
         if let Some(st) = t.loop_states.get(&l) {
             let m = merged.get_or_insert_with(LoopState::default);
             m.entry_stacks.extend(st.entry_stacks.iter().cloned());
